@@ -15,8 +15,6 @@ use gatspi_gpu::{DeviceMemory, LaneCounters};
 use gatspi_graph::{CircuitGraph, GraphOptions};
 use gatspi_netlist::{CellLibrary, NetlistBuilder};
 use gatspi_wave::{Waveform, WaveformArena};
-use gatspi_workloads::circuits::{random_logic, RandomLogicConfig};
-use gatspi_workloads::stimuli::{generate, StimulusConfig};
 
 fn setup(cell: &str, n_in: usize, toggles: usize) -> (CircuitGraph, DeviceMemory, Vec<u32>) {
     let lib = CellLibrary::industry_mini();
@@ -208,85 +206,6 @@ fn bench_deep_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// The publish path itself: forced-serial pipeline (`pipeline_depth = 1`,
-/// every level's host publish completes before the next level launches)
-/// vs the overlapped default (`pipeline_depth = 2`). `narrow` is a deep
-/// chain of one-gate levels (fused launches; publish overlaps phases
-/// inside the launch), `wide` is shallow random logic with thousand-gate
-/// levels (classic two-launch path; folded store-pass publication plus
-/// publish fan-out across host workers).
-fn bench_publish_path(c: &mut Criterion) {
-    let mut group = c.benchmark_group("publish_path");
-
-    // --- Narrow: 2000 levels × 1 gate × 4 windows.
-    let depth = 2000usize;
-    let mut b = NetlistBuilder::new("narrow", CellLibrary::industry_mini());
-    let mut prev = b.add_input("a").unwrap();
-    for i in 0..depth {
-        let net = b.add_net(&format!("n{i}")).unwrap();
-        b.add_gate(&format!("u{i}"), "INV", &[prev], net).unwrap();
-        prev = net;
-    }
-    b.mark_output(prev);
-    let narrow = Arc::new(
-        CircuitGraph::build(&b.finish().unwrap(), None, &GraphOptions::default()).unwrap(),
-    );
-    let toggles: Vec<i32> = (1..8).map(|i| i * 1200).collect();
-    let narrow_stim = vec![Waveform::from_toggles(false, &toggles)];
-    let narrow_duration = 10_000;
-
-    // --- Wide: ~4 levels × ~1500 gates × 32 windows.
-    let netlist = random_logic(&RandomLogicConfig {
-        gates: 6000,
-        inputs: 64,
-        depth: 4,
-        output_fraction: 0.1,
-        seed: 42,
-    });
-    let wide = Arc::new(CircuitGraph::build(&netlist, None, &GraphOptions::default()).unwrap());
-    let cycle = 400;
-    let cycles = 16usize;
-    let wide_stim = generate(
-        wide.primary_inputs().len(),
-        &StimulusConfig::random(cycles, cycle, 0.3, 7),
-    );
-    let wide_duration = cycle * cycles as i32;
-
-    for (label, pipeline_depth) in [("serial", 1usize), ("overlap", 2)] {
-        let sim = Session::new(
-            Arc::clone(&narrow),
-            SimConfig::default()
-                .with_cycle_parallelism(4)
-                .with_window_align(100)
-                .with_pipeline_depth(pipeline_depth),
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("narrow_{label}"), format!("levels{depth}")),
-            &(),
-            |bench, ()| {
-                bench.iter(|| {
-                    sim.run(&narrow_stim, narrow_duration)
-                        .unwrap()
-                        .total_toggles()
-                })
-            },
-        );
-
-        let sim = Session::new(
-            Arc::clone(&wide),
-            SimConfig::default()
-                .with_window_align(cycle)
-                .with_pipeline_depth(pipeline_depth),
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("wide_{label}"), "levels4"),
-            &(),
-            |bench, ()| bench.iter(|| sim.run(&wide_stim, wide_duration).unwrap().total_toggles()),
-        );
-    }
-    group.finish();
-}
-
 /// The phased-launch driver itself, isolated from kernel work: per-phase
 /// overhead of the pooled chase-the-cursor protocol on wide fused groups,
 /// a reference loop using two full `Barrier` rounds per phase at the same
@@ -420,6 +339,6 @@ fn bench_phase_driver(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_kernel, bench_single_pass, bench_deep_pipeline, bench_publish_path, bench_phase_driver
+    targets = bench_kernel, bench_single_pass, bench_deep_pipeline, bench_phase_driver
 }
 criterion_main!(benches);

@@ -26,7 +26,7 @@ use gatspi_wave::{SimTime, Waveform, EOW, INIT_ONE_MARKER};
 
 use crate::kernel::{simulate_gate, GateKernelInput, KernelMode, KernelOutput, MAX_KERNEL_PINS};
 use crate::result::ExtractionState;
-use crate::ring::{backoff, DumpMsg, DumpRing};
+use crate::ring::{DumpMsg, DumpRing};
 use crate::schedule::{BatchScratch, ConeInfo, HostState, LevelSchedule};
 use crate::sink::{SaifSink, SpillSink, VcdSink, WaveformSink, WindowInfo};
 use crate::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -57,25 +57,16 @@ const SCRATCH_OVERSIZE_FACTOR: usize = 4;
 /// arena cannot serve tiny batches indefinitely.
 const SCRATCH_SHRINK_AFTER: u32 = 4;
 
-/// Levels narrower than this many (gate, window) threads publish *inline*
-/// on the issuing thread instead of through the pipeline worker: handing a
-/// handful of messages to another thread costs more in wake-up latency
-/// than the publish itself (the same reasoning as the device's inline
-/// launches). Inline publication is safe alongside an outstanding ticket —
-/// the dump ring is multi-producer and the length sums are atomic — except
-/// for the scratch-column parity guard handled at the issue site.
-const INLINE_PUBLISH_MAX: usize = 256;
-
 /// Levels with at least this many (gate, window) threads publish (len-sum
 /// accounting + dump enqueue) across multiple host workers partitioned by
-/// gate range; narrower levels publish on the single pipeline worker.
+/// gate range; narrower levels publish serially on the issuing thread.
 const PARALLEL_PUBLISH_MIN: usize = 1 << 15;
 
 /// Upper bound on publish fan-out workers.
 const MAX_PUBLISH_WORKERS: usize = 32;
 
-/// Dump messages a publish worker accumulates before reserving ring space
-/// for the whole chunk at once (one reservation per chunk, not per
+/// Dump messages a publishing thread accumulates before reserving ring
+/// space for the whole chunk at once (one reservation per chunk, not per
 /// message). Stack-resident, so publication stays allocation-free.
 const PUBLISH_CHUNK: usize = 128;
 
@@ -658,6 +649,7 @@ impl Session {
     /// # Errors
     ///
     /// * [`CoreError::StimulusMismatch`] if the waveform count is wrong.
+    /// * [`CoreError::BadConfig`] if `duration` is negative.
     /// * [`CoreError::OutOfMemory`] if even a single window exceeds device
     ///   memory.
     pub fn run(&self, stimuli: &[Waveform], duration: SimTime) -> Result<SimResult> {
@@ -778,6 +770,7 @@ impl Session {
         opts: &RunOptions,
         mut user_sink: Option<&mut dyn WaveformSink>,
     ) -> Result<SimResult> {
+        check_duration(duration)?;
         let t_app = Instant::now();
         let device = Arc::clone(&self.device);
         let n_pis = self.graph.primary_inputs().len();
@@ -1094,6 +1087,7 @@ impl Session {
         opts: &RunOptions,
         mut user_sink: Option<&mut dyn WaveformSink>,
     ) -> Result<SimResult> {
+        check_duration(duration)?;
         let t_app = Instant::now();
         let n_pis = self.graph.primary_inputs().len();
         if stimuli.len() != n_pis {
@@ -1399,28 +1393,25 @@ impl Session {
     /// Simulates one batch of windows on `device` (one memory segment)
     /// against a prebuilt `plan`: uploads stimulus, runs the two-pass
     /// levelized schedule (fusing runs of small levels into single phased
-    /// launches) as an **overlapped pipeline**, and returns the
-    /// accumulators.
+    /// launches), and returns the accumulators.
     ///
-    /// Pipeline structure (see the README's executor map):
+    /// Level structure (see the README's executor map):
     ///
     /// * the store pass itself publishes every output's pointer and length
     ///   into the shared tables (folded publication — no host per-slot
     ///   store loop survives);
     /// * the remaining host publish work per level (per-signal length sums
-    ///   and SAIF dump enqueueing) is a *ticket* handed to a publish
-    ///   worker, which fans wide levels out across host workers
-    ///   partitioned by gate range and enqueues dump messages in
-    ///   ring-reserved chunks;
+    ///   and SAIF dump enqueueing, [`publish_level`]) runs *inline* on the
+    ///   thread that finished the level: the fused launch's leader at each
+    ///   store/repair phase boundary, or the engine thread after a wide
+    ///   level's launch, which fans out across host workers partitioned by
+    ///   gate range;
     /// * every level of a fused group owns a disjoint slab range of the
-    ///   [`BatchScratch`] count/base column, so level `L`'s publish
-    ///   overlaps any number of later levels' phases without fencing
-    ///   ([`SimConfig::pipeline_depth`]` = 1` forces the serial pipeline);
-    ///   base assignment is one carry-chained segmented prefix-sum over
-    ///   the group slab ([`GroupAssigner`]);
-    /// * an epoch fence at every launch-group boundary waits for all
-    ///   outstanding tickets, so the length sums feeding the next group's
-    ///   modeled working set are consistent and the column can be reused.
+    ///   [`BatchScratch`] count/base column; base assignment is one
+    ///   carry-chained segmented prefix-sum over the group slab
+    ///   ([`GroupAssigner`]);
+    /// * the only helper thread is the asynchronous SAIF dumper, which
+    ///   scans enqueued waveforms while later levels simulate.
     ///
     /// The per-level loop is allocation-free: scratch buffers live in the
     /// caller-provided [`BatchScratch`] arena, working sets come from
@@ -1439,7 +1430,6 @@ impl Session {
         let nw = windows.len();
         debug_assert_eq!(schedule.nw, nw, "plan window count must match batch");
         let capacity = device.memory().len();
-        let depth = self.config.pipeline_depth.clamp(1, 2);
         let mut host = HostState::default();
 
         // Upload the stimulus: per (window, signal), one even-aligned slice
@@ -1524,7 +1514,6 @@ impl Session {
         // waiting on the scan — keeps the dumper overlap the async design
         // exists for.
         let ring = DumpRing::with_capacity(schedule.dump_backlog().max(8192));
-        let pipe = PublishPipeline::new(schedule.n_levels());
 
         let mut profile = KernelProfile::empty("resim");
         let mut launches = 0u64;
@@ -1560,37 +1549,13 @@ impl Session {
                 (tc, t0, t1)
             });
 
-            let pipe_ref = &pipe;
             let schedule_ref = schedule;
             let scratch_ref = scratch;
-            let publish_workers = device.workers();
-            // Publish worker: drains level tickets in issue order, doing
-            // each level's host publish (length sums + dump enqueue) off
-            // the launch critical path; wide levels fan out across host
-            // workers. Owns the ring's producer side: its exit — normal or
-            // unwinding — closes the ring so the dumper always terminates.
-            let publisher = scope.spawn(move |_| {
-                let _ring_closer = ring_ref.producer_guard();
-                let _gone = pipe_ref.worker_guard();
-                let mut next = 0usize;
-                while let Some(level) = pipe_ref.wait_ticket(next) {
-                    publish_level(
-                        schedule_ref,
-                        scratch_ref,
-                        level,
-                        windows,
-                        ring_ref,
-                        publish_workers,
-                    );
-                    pipe_ref.complete(next);
-                    next += 1;
-                }
-            });
-            // If the engine below unwinds (launch expect, bounds assert),
-            // this guard closes the ticket stream so the publisher exits,
-            // whose own guard then closes the ring so the dumper exits —
-            // the scope join propagates the panic instead of deadlocking.
-            let _pipe_closer = pipe.producer_guard();
+            // The engine side owns the ring's producer end: dropping this
+            // guard — after the engine loop below, or while unwinding past
+            // it — closes the ring so the dumper always terminates and the
+            // scope join propagates a panic instead of deadlocking.
+            let ring_closer = ring.producer_guard();
 
             // One kernel invocation: thread `tid` of `level`, first or
             // second pass. Two-pass mode runs count then store; speculative
@@ -1748,24 +1713,20 @@ impl Session {
 
             // The engine loop runs under `catch_unwind` so an injected (or
             // real) launch fault unwinds to *here*, still inside the scope:
-            // the dumper and publisher are then shut down and joined in
-            // order, and their own panic payloads (the root cause when a
-            // sink died) take priority over the engine's secondary panic.
+            // the ring is closed and the dumper joined, and its own panic
+            // payload (the root cause when a sink died) takes priority over
+            // the engine's secondary panic.
             // unwind-ok: deferring boundary — the payload is re-raised
-            // intact (resume_unwind below, after the joins) and classified
+            // intact (resume_unwind below, after the dumper join) and classified
             // by `panic_to_error` at the segment boundary above this scope.
             let engine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 'groups: for group in schedule.groups() {
-                    // Epoch fence: every issued ticket must complete before
-                    // this group's modeled working set reads the length sums
-                    // (and before its count pass reuses either scratch column).
-                    pipe.fence_all();
                     let first = group.levels.start;
                     if group.fused {
                         // --- Fused: one phased launch covers the whole run of
                         // levels; the leader worker does the prefix-sum at
-                        // count boundaries and issues the publish ticket at
-                        // store boundaries. The launch config carries the
+                        // count boundaries and publishes the level at store
+                        // boundaries. The launch config carries the
                         // working set visible at launch time (inputs already
                         // stored); each count-phase boundary then reports the
                         // words the level's outputs just allocated, so the L2
@@ -1855,38 +1816,21 @@ impl Session {
                                         }
                                     }
                                 } else {
-                                    if ld.threads < INLINE_PUBLISH_MAX {
-                                        // Store/repair phase done (ptrs/lens
-                                        // published by the kernel threads). A
-                                        // narrow level's remaining publish work
-                                        // is a handful of messages — run it
-                                        // right here rather than paying a
-                                        // cross-thread hand-off. Its slab
-                                        // range is its own, so no outstanding
-                                        // ticket can collide with it.
-                                        publish_level(
-                                            schedule_ref,
-                                            scratch_ref,
-                                            level,
-                                            windows,
-                                            ring_ref,
-                                            1,
-                                        );
-                                    } else {
-                                        // Hand the level's host publish to the
-                                        // pipeline. Disjoint slab ranges make
-                                        // any number of a group's publishes
-                                        // safe in flight, so the overlapped
-                                        // mode just issues and moves on — the
-                                        // group-boundary epoch fence catches
-                                        // up before the column is reused (the
-                                        // dump ring is sized for a whole
-                                        // group's backlog).
-                                        pipe_ref.issue(level);
-                                        if depth == 1 {
-                                            pipe_ref.fence_all();
-                                        }
-                                    }
+                                    // Store/repair phase done (ptrs/lens
+                                    // published by the kernel threads):
+                                    // publish the level right here. A fused
+                                    // group holds at most `fuse_threshold`
+                                    // threads (4096 by default, below the
+                                    // fan-out bar), so it publishes on this
+                                    // one thread.
+                                    publish_level(
+                                        schedule_ref,
+                                        scratch_ref,
+                                        level,
+                                        windows,
+                                        ring_ref,
+                                        1,
+                                    );
                                     if speculate && level + 1 < group.levels.end {
                                         // Reserve the next level's speculative
                                         // budgets now that this level's
@@ -2035,42 +1979,24 @@ impl Session {
 
                         // Pointers and lengths were published by the store
                         // launch itself; only the length sums and the dump
-                        // enqueue remain. Narrow levels (unfused schedules)
-                        // publish inline — the group-top fence guarantees no
-                        // ticket is outstanding here; wide levels ticket the
-                        // work so it spreads across workers and overlaps the
-                        // dumper until the next group's epoch fence.
-                        if threads < INLINE_PUBLISH_MAX {
-                            publish_level(schedule, scratch, first, windows, &ring, 1);
-                        } else {
-                            pipe.issue(first);
-                            if depth == 1 {
-                                pipe.fence_all();
-                            }
-                        }
+                        // enqueue remain, published here before the next
+                        // group reads the sums. Wide levels fan out across
+                        // host workers by gate range.
+                        publish_level(schedule, scratch, first, windows, &ring, device.workers());
                     }
                 }
             }));
 
-            // Shutdown: end the ticket stream, let the publisher drain the
-            // outstanding publishes (its guard closes the ring on exit),
-            // then account the tail of the SAIF scan as dump wait. Joins
-            // are explicit so each helper's own panic payload survives —
-            // the scope's auto-join would replace it with a generic
-            // message, and payload *types* are how the segment boundary
-            // classifies faults.
-            pipe.close();
-            let publisher_exit = publisher.join();
-            // Publisher exit closed the ring; from here the clock measures
-            // only the SAIF scanner's drain tail (the dump-wait telemetry
-            // must not absorb publish time — publish has its own overlap
-            // accounting via the ticket fences).
+            // Shutdown: close the ring (the engine loop, the only producer,
+            // has returned or unwound), then account the tail of the SAIF
+            // scan as dump wait. The join is explicit so the dumper's own
+            // panic payload survives — the scope's auto-join would replace
+            // it with a generic message, and payload *types* are how the
+            // segment boundary classifies faults.
+            drop(ring_closer);
             let t_wait = Instant::now();
             let dumper_exit = dumper.join();
             dump_wait = t_wait.elapsed().as_secs_f64();
-            if let Err(payload) = publisher_exit {
-                std::panic::resume_unwind(payload);
-            }
             let acc = match dumper_exit {
                 Ok(acc) => acc,
                 // A dead SAIF scanner is the root cause of whatever the
@@ -2553,156 +2479,17 @@ impl Session {
     }
 }
 
-/// The level-publish pipeline: the engine thread (or the fused launch's
-/// leader worker) *issues* one ticket per finished level; a dedicated
-/// publish worker drains them in order, each ticket covering the level's
-/// host publish work — per-signal length-sum accounting and SAIF dump
-/// enqueueing. Levels of a fused group read disjoint slab ranges of the
-/// scratch column, so any number of a group's tickets may be in flight;
-/// the epoch fence at every group boundary waits for full consistency
-/// before length sums feed the L2 model and the column is reused.
-///
-/// Single issuer, single worker; both sides are lock-free (the issue/
-/// complete cursors pair release stores with acquire loads, the same
-/// discipline as the dump ring).
-struct PublishPipeline {
-    /// Level index per ticket slot, written before `issued` advances.
-    tickets: Vec<AtomicUsize>,
-    /// Tickets issued so far.
-    issued: AtomicUsize,
-    /// Tickets whose publish work has completed.
-    completed: AtomicUsize,
-    /// No further tickets will be issued.
-    closed: AtomicBool,
-    /// Set when the publish worker exits (normally or by panic); lets a
-    /// fence fail loudly instead of waiting forever.
-    worker_gone: AtomicBool,
-}
-
-/// RAII marker held by the publish worker; flags the pipeline on drop —
-/// including unwinding out of a panicking publish.
-struct PublishWorkerGuard<'a>(&'a PublishPipeline);
-
-impl Drop for PublishWorkerGuard<'_> {
-    fn drop(&mut self) {
-        self.0.worker_gone.store(true, Ordering::Release);
-    }
-}
-
-/// RAII closer for the issuing side: ends the ticket stream on drop so the
-/// publish worker terminates even when the engine unwinds mid-batch.
-struct PublishProducerGuard<'a>(&'a PublishPipeline);
-
-impl Drop for PublishProducerGuard<'_> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-impl PublishPipeline {
-    /// A pipeline able to carry one ticket per level.
-    fn new(n_levels: usize) -> Self {
-        let mut tickets = Vec::with_capacity(n_levels);
-        tickets.resize_with(n_levels, || AtomicUsize::new(0));
-        PublishPipeline {
-            tickets,
-            issued: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            closed: AtomicBool::new(false),
-            worker_gone: AtomicBool::new(false),
-        }
-    }
-
-    /// Registers the publish worker; keep the guard alive for the whole
-    /// drain loop.
-    fn worker_guard(&self) -> PublishWorkerGuard<'_> {
-        PublishWorkerGuard(self)
-    }
-
-    /// RAII closer for the issuing side (see [`PublishProducerGuard`]).
-    fn producer_guard(&self) -> PublishProducerGuard<'_> {
-        PublishProducerGuard(self)
-    }
-
-    /// Issues the publish ticket for `level`. Single issuer at a time —
-    /// the engine thread between launches or the fused launch's leader at
-    /// a phase boundary; those hand-offs are ordered by launch joins and
-    /// barriers, exactly like the scratch tables themselves.
-    fn issue(&self, level: usize) {
-        // relaxed-ok: single issuer at a time (see doc above) reading its
-        // own cursor; successive issuers are ordered by launch joins.
-        let k = self.issued.load(Ordering::Relaxed);
-        // relaxed-ok: the ticket slot is published to the worker by the
-        // `issued` Release store below (model test
-        // `publish_tickets_never_skip_or_tear`).
-        self.tickets[k].store(level, Ordering::Relaxed);
-        self.issued.store(k + 1, Ordering::Release);
-    }
-
-    /// Worker side: blocks until ticket `next` is issued (returning its
-    /// level) or the stream ends (`None`).
-    fn wait_ticket(&self, next: usize) -> Option<usize> {
-        let mut spins = 0u32;
-        loop {
-            if self.issued.load(Ordering::Acquire) > next {
-                // relaxed-ok: the Acquire load above synchronized with the
-                // issuer's Release store, which happens-after this slot's
-                // write.
-                return Some(self.tickets[next].load(Ordering::Relaxed));
-            }
-            if self.closed.load(Ordering::Acquire) && self.issued.load(Ordering::Acquire) <= next {
-                return None;
-            }
-            backoff(&mut spins);
-        }
-    }
-
-    /// Worker side: marks ticket `next` complete (its length sums and dump
-    /// messages are now visible behind an acquire fence).
-    fn complete(&self, next: usize) {
-        self.completed.store(next + 1, Ordering::Release);
-    }
-
-    /// Blocks until at least `target` tickets completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the publish worker terminated with the target
-    /// unreachable — propagating beats deadlocking the engine.
-    fn fence(&self, target: usize) {
-        let mut spins = 0u32;
-        while self.completed.load(Ordering::Acquire) < target {
-            assert!(
-                !self.worker_gone.load(Ordering::Acquire),
-                "publish worker terminated with tickets outstanding"
-            );
-            backoff(&mut spins);
-        }
-    }
-
-    /// Epoch fence: every issued ticket has completed; the per-signal
-    /// length sums are fully consistent.
-    fn fence_all(&self) {
-        // relaxed-ok: called on the issuing side, reading its own cursor.
-        self.fence(self.issued.load(Ordering::Relaxed));
-    }
-
-    /// Ends the ticket stream; `wait_ticket` returns `None` once the
-    /// issued tickets drain.
-    fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-    }
-}
-
-/// Publishes one finished level on the pipeline worker: advances the
-/// running per-signal length sums and streams every (gate, window)
-/// waveform to the SAIF dumper ring in reserved chunks. Output pointers
-/// and lengths were already published by the store pass itself (folded
-/// publication), so this is the *entire* remaining host cost of a level.
-/// Wide levels partition their gate range across host workers — each gate
-/// appears in exactly one range and owns its output signal, so the length
-/// sums need no cross-worker coordination beyond the relaxed atomic add.
-/// Allocation-free: chunk buffers live on the worker stacks.
+/// Publishes one finished level inline, on the thread that finished it:
+/// advances the running per-signal length sums and streams every
+/// (gate, window) waveform to the SAIF dumper ring in reserved chunks.
+/// Output pointers and lengths were already published by the store pass
+/// itself (folded publication), so this is the *entire* remaining host
+/// cost of a level. Levels of at least [`PARALLEL_PUBLISH_MIN`] threads
+/// partition their gate range across up to `workers` host workers — each
+/// gate appears in exactly one range and owns its output signal, so the
+/// length sums need no cross-worker coordination beyond the relaxed atomic
+/// add. Returns only once the whole level is published. Allocation-free:
+/// chunk buffers live on the worker stacks.
 fn publish_level(
     schedule: &LevelSchedule,
     scratch: &BatchScratch,
@@ -2728,9 +2515,9 @@ fn publish_level(
             let mut sum = 0u64;
             for (w, &(ws, we)) in windows.iter().enumerate() {
                 let tid = gi * nw + w;
-                // relaxed-ok: the level's counts/bases settled before its
-                // publish ticket was issued; the ticket's Release/Acquire
-                // pair carries them here.
+                // relaxed-ok: the level's counts/bases settled behind the
+                // launch join / phase gate that precedes this publish (and
+                // the fan-out's scope spawn for its workers).
                 let words = KernelOutput::unpack_words(outs[tid].load(Ordering::Relaxed));
                 sum += u64::from(words);
                 chunk[n] = DumpMsg {
@@ -2745,8 +2532,8 @@ fn publish_level(
                     n = 0;
                 }
             }
-            // relaxed-ok: commutative add; readers fence on the ticket's
-            // completion (`PublishPipeline::fence`) before consuming sums.
+            // relaxed-ok: commutative add; readers consume the sums only
+            // after this publish returned (fan-out scope joined).
             scratch.len_sum[sig].fetch_add(sum, Ordering::Relaxed);
         }
         ring.push_slice(&chunk[..n]);
@@ -2898,6 +2685,18 @@ struct SpecTally {
     /// prediction slack on hits plus whole abandoned reservations on
     /// overflows.
     waste_words: u64,
+}
+
+/// Rejects a negative run `duration` with [`CoreError::BadConfig`]. The
+/// shared run paths call it first, so a bad argument surfaces as an error
+/// instead of a panic deep in the SAIF assembly.
+fn check_duration(duration: SimTime) -> Result<()> {
+    if duration < 0 {
+        return Err(CoreError::BadConfig {
+            detail: format!("run duration must be non-negative, got {duration}"),
+        });
+    }
+    Ok(())
 }
 
 /// Speculative hit rate from the accumulated counters:
@@ -3346,6 +3145,7 @@ impl Session {
         opts: &RunOptions,
         mut user_sink: Option<&mut dyn WaveformSink>,
     ) -> Result<SimResult> {
+        check_duration(duration)?;
         let t_app = Instant::now();
         let n_pis = self.graph.primary_inputs().len();
         if stimuli.len() != n_pis {
@@ -3814,6 +3614,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gatspi_gpu::DeviceSpec;
     use gatspi_graph::GraphOptions;
     use gatspi_netlist::{CellLibrary, NetlistBuilder};
 
@@ -3826,6 +3627,18 @@ mod tests {
             prev = net;
         }
         b.mark_output(prev);
+        Arc::new(CircuitGraph::build(&b.finish().unwrap(), None, &GraphOptions::default()).unwrap())
+    }
+
+    /// `y = !(a ^ b)` as XOR2 feeding INV: two levels, two inputs.
+    fn xor_inv() -> Arc<CircuitGraph> {
+        let mut b = NetlistBuilder::new("m", CellLibrary::industry_mini());
+        let a = b.add_input("a").unwrap();
+        let c = b.add_input("b").unwrap();
+        let n1 = b.add_net("n1").unwrap();
+        let y = b.add_output("y").unwrap();
+        b.add_gate("u1", "XOR2", &[a, c], n1).unwrap();
+        b.add_gate("u2", "INV", &[n1], y).unwrap();
         Arc::new(CircuitGraph::build(&b.finish().unwrap(), None, &GraphOptions::default()).unwrap())
     }
 
@@ -4818,6 +4631,60 @@ mod tests {
         assert_eq!(sink.calls, 4 * graph.n_signals());
         assert_eq!(r.segments(), 1);
     }
+
+    #[test]
+    fn multi_gpu_matches_single_device() {
+        let g = xor_inv();
+        let cfg = SimConfig::small()
+            .with_cycle_parallelism(4)
+            .with_window_align(100);
+        let sim = Session::new(Arc::clone(&g), cfg);
+        let stimuli = vec![
+            Waveform::from_toggles(false, &[150, 420, 650]),
+            Waveform::from_toggles(true, &[310, 890]),
+        ];
+        let single = sim.run(&stimuli, 1000).unwrap();
+        let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
+        let multi = sim.run_multi_gpu(&gpus, &stimuli, 1000).unwrap();
+        assert!(single.saif.diff(&multi.saif).is_empty());
+        assert_eq!(single.total_toggles(), multi.total_toggles());
+    }
+
+    #[test]
+    fn multi_gpu_builds_schedule_once_for_even_shards() {
+        let g = xor_inv();
+        // 4 windows/device × 2 devices, duration divisible: even shards,
+        // one plan build for the entire multi-GPU run.
+        let cfg = SimConfig::small()
+            .with_cycle_parallelism(4)
+            .with_window_align(100);
+        let sim = Session::new(Arc::clone(&g), cfg);
+        let stimuli = vec![
+            Waveform::from_toggles(false, &[150, 420, 650]),
+            Waveform::from_toggles(true, &[310]),
+        ];
+        let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
+        let _ = sim.run_multi_gpu(&gpus, &stimuli, 800).unwrap();
+        let stats = sim.plan_cache_stats();
+        assert_eq!(
+            stats.misses, 1,
+            "one LevelSchedule build shared across both shards"
+        );
+        // Pre-warm resolves the second shard's plan from cache, then each
+        // shard thread re-resolves its (warm) plan at execution time.
+        assert_eq!(stats.hits, 3, "every other lookup hits the cache");
+    }
+
+    #[test]
+    fn multi_gpu_stimulus_mismatch() {
+        let g = xor_inv();
+        let sim = Session::new(g, SimConfig::small());
+        let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 16);
+        assert!(matches!(
+            sim.run_multi_gpu(&gpus, &[], 100),
+            Err(CoreError::StimulusMismatch { .. })
+        ));
+    }
 }
 
 /// Exhaustive interleaving tests for the session's lock-free protocols,
@@ -4827,42 +4694,6 @@ mod tests {
 #[cfg(all(test, feature = "model-check"))]
 mod model_tests {
     use super::*;
-
-    /// The overlapped-publish hand-off: the worker must never observe a
-    /// ticket slot before the issuer's `issued` Release store publishes it,
-    /// and must drain every ticket in issue order without skipping a
-    /// level. Weakening `issued.store(.., Release)` in
-    /// [`PublishPipeline::issue`] to `Relaxed` fails this test (the worker
-    /// reads a stale ticket slot).
-    #[test]
-    fn publish_tickets_never_skip_or_tear() {
-        loom::model(|| {
-            let pipe = PublishPipeline::new(2);
-            crate::sync::thread::scope(|s| {
-                let p = &pipe;
-                s.spawn(move |_| {
-                    let _guard = p.worker_guard();
-                    let mut next = 0usize;
-                    while let Some(level) = p.wait_ticket(next) {
-                        assert_eq!(
-                            level,
-                            [7, 9][next],
-                            "ticket read before its slot was published"
-                        );
-                        p.complete(next);
-                        next += 1;
-                    }
-                    assert_eq!(next, 2, "a ticket was skipped");
-                });
-                pipe.issue(7);
-                pipe.fence(1);
-                pipe.issue(9);
-                pipe.fence_all();
-                pipe.close();
-            })
-            .expect("model worker panicked");
-        });
-    }
 
     /// The failover work handoff: survivor threads claiming a dead
     /// device's sub-shards through [`ShardQueue`] must together execute
@@ -4894,34 +4725,6 @@ mod model_tests {
                 vec![(0, 2), (2, 1), (3, 2)],
                 "every range claimed exactly once"
             );
-        });
-    }
-
-    /// A fence observing a dead worker must panic instead of spinning
-    /// forever — in every interleaving of the worker's death.
-    #[test]
-    fn fence_fails_loudly_when_worker_dies() {
-        loom::model(|| {
-            let pipe = PublishPipeline::new(1);
-            pipe.issue(0);
-            crate::sync::thread::scope(|s| {
-                let p = &pipe;
-                s.spawn(move |_| {
-                    // Worker takes its guard and dies without completing.
-                    let _guard = p.worker_guard();
-                });
-                let fenced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    p.fence_all();
-                }));
-                // Either the fence saw the death and panicked, or the
-                // worker had not died yet and... it can never complete, so
-                // the fence must have panicked.
-                assert!(
-                    fenced.is_err(),
-                    "fence must not return with tickets outstanding"
-                );
-            })
-            .expect("model worker panicked");
         });
     }
 

@@ -204,13 +204,12 @@ impl Device {
     /// pass writes each output's pointer/length this way — folded
     /// publication), provided no thread of the same phase reads a slot a
     /// peer writes; later phases read them behind the barrier. Likewise,
-    /// `on_phase_end` may hand work to host threads *outside* the launch
-    /// (the engine's overlapped publish tickets): the callback runs
-    /// exactly once per phase on one thread (the last worker arriving at
-    /// the phase's end — not necessarily the same thread each phase), so a
-    /// release-store there is a sound hand-off point, but any such
-    /// external work that later phases depend on must be fenced by the
-    /// callback itself before it returns.
+    /// `on_phase_end` may run host work *outside* the kernel (the engine
+    /// publishes each finished level there): the callback runs exactly
+    /// once per phase on one thread (the last worker arriving at the
+    /// phase's end — not necessarily the same thread each phase), and any
+    /// work it hands to other threads that later phases depend on must be
+    /// complete before it returns.
     pub fn launch_phased<F, G>(
         &self,
         name: &str,

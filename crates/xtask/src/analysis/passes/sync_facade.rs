@@ -1,4 +1,4 @@
-//! Pass 3 — sync-facade totality (the `lint-atomics` successor).
+//! Pass 3 — sync-facade totality (successor of the original atomics lint).
 //!
 //! PR 7's loom model checker can only prove protocols whose sync
 //! primitives route through the `gatspi_{core,gpu}::sync` facades — the

@@ -3,8 +3,8 @@
 //! and pass the schema rules of [`gatspi_bench::artifact::validate`], the
 //! known targets must all be present, and per-target tolerance bands must
 //! hold (rates in `[0, 1]`, walls positive, fused launches not above
-//! unfused, and the speculative single-pass schedule at least
-//! [`SPEC_SPEEDUP_FLOOR`]× faster than its pinned two-pass reference on
+//! unfused, and the speculative single-pass schedule at least 1.3×
+//! (`SPEC_SPEEDUP_FLOOR`) faster than its pinned two-pass reference on
 //! `deep_pipeline_resim`). CI runs this next to `analyze` so a PR cannot
 //! silently regress or rot the artifacts.
 
@@ -163,7 +163,6 @@ fn check_kernel_micro(name: &str, doc: &Json, errors: &mut Vec<String>) {
         "algorithm1_kernel/",
         "single_pass/",
         "deep_pipeline_resim/",
-        "publish_path/",
         "phase_driver/",
     ] {
         if mean_of(group).is_none() {
@@ -215,7 +214,6 @@ mod tests {
                 {"id": "deep_pipeline_resim/fused/d", "mean_ns": 2.0e6},
                 {"id": "deep_pipeline_resim/unfused/d", "mean_ns": 2.0e6},
                 {"id": "deep_pipeline_resim/unfused_twopass/d", "mean_ns": 3.2e6},
-                {"id": "publish_path/narrow_serial/l", "mean_ns": 1.7e6},
                 {"id": "phase_driver/cursor_driver/w", "mean_ns": 9.0e5}
             ]
         }"#;
@@ -249,8 +247,7 @@ mod tests {
                 {"id": "algorithm1_kernel/INV_count/16", "mean_ns": 0.0},
                 {"id": "single_pass/spec_hit/16", "mean_ns": 300.0},
                 {"id": "deep_pipeline_resim/unfused/d", "mean_ns": 3.0e6},
-                {"id": "deep_pipeline_resim/unfused_twopass/d", "mean_ns": 3.2e6},
-                {"id": "publish_path/narrow_serial/l", "mean_ns": 1.7e6}
+                {"id": "deep_pipeline_resim/unfused_twopass/d", "mean_ns": 3.2e6}
             ]
         }"#;
         let errs = check_artifact("m.json", micro);

@@ -1,11 +1,15 @@
-//! Pipelined-executor equivalence: the overlapped publish pipeline
-//! (`pipeline_depth = 2`, the default — folded store-pass publication,
-//! slab-partitioned scratch columns, publish worker overlapping later
-//! levels' launches) must produce **bit-identical** results to a forced
-//! serial run (`pipeline_depth = 1`) and to the event-driven reference —
-//! across plain windowed runs, segmented runs, streaming sinks,
-//! multi-GPU sharding (with and without spill) and the pooled
-//! chase-the-cursor phase driver.
+//! Executor equivalence: the levelized executor — folded store-pass
+//! publication, slab-partitioned scratch columns, each level published
+//! inline to the asynchronous SAIF dumper — must produce **bit-identical**
+//! results to the event-driven reference (SAIF and, for spilled runs,
+//! every full waveform) across plain windowed runs, segmented runs,
+//! streaming sinks, multi-GPU sharding (with and without spill) and the
+//! pooled chase-the-cursor phase driver. Where the reference does not
+//! apply — a deep chain still propagating when its windows are cut, or
+//! the sink's per-window deliveries — an unfused, unsegmented or
+//! single-device run of the same configuration stands in for it. The
+//! speculative single-pass schedule must match the two-pass one on each
+//! of those paths.
 
 use std::sync::Arc;
 
@@ -15,7 +19,7 @@ use gatspi_core::{
 use gatspi_gpu::{DeviceSpec, MultiGpu};
 use gatspi_graph::{CircuitGraph, GraphOptions};
 use gatspi_netlist::{CellLibrary, NetlistBuilder};
-use gatspi_refsim::{EventSimulator, RefConfig};
+use gatspi_refsim::{EventSimulator, RefConfig, RefResult};
 use gatspi_wave::Waveform;
 use gatspi_workloads::circuits::{random_logic, RandomLogicConfig};
 use gatspi_workloads::sdfgen::{attach_sdf, SdfGenConfig};
@@ -23,7 +27,8 @@ use gatspi_workloads::stimuli::{generate, StimulusConfig};
 use proptest::prelude::*;
 
 /// Deep, narrow chain: thousands of one-gate levels exercise the fused
-/// (phased-launch) pipeline where the overlap happens inside one launch.
+/// (phased-launch) path, where every level publishes at a phase boundary
+/// inside one launch.
 fn deep_chain(depth: usize) -> Arc<CircuitGraph> {
     let mut b = NetlistBuilder::new("deep", CellLibrary::industry_mini());
     let mut prev = b.add_input("a").unwrap();
@@ -57,10 +62,7 @@ fn wide_graph(seed: u64) -> Arc<CircuitGraph> {
 }
 
 fn assert_bit_identical(a: &SimResult, b: &SimResult, what: &str) {
-    assert!(
-        a.saif.diff(&b.saif).is_empty(),
-        "{what}: SAIF diverged between serial and pipelined runs"
-    );
+    assert!(a.saif.diff(&b.saif).is_empty(), "{what}: SAIF diverged");
     assert_eq!(
         a.toggle_counts_slice(),
         b.toggle_counts_slice(),
@@ -68,8 +70,36 @@ fn assert_bit_identical(a: &SimResult, b: &SimResult, what: &str) {
     );
 }
 
+/// The event-driven reference run, with full waveforms recorded.
+fn refsim(graph: &CircuitGraph, stimuli: &[Waveform], duration: i32) -> RefResult {
+    EventSimulator::new(graph, RefConfig::default())
+        .run(stimuli, duration)
+        .unwrap()
+}
+
+/// Asserts `ours` has the reference's exact SAIF and, when `waveforms` is
+/// set (spilled or still device-backed runs), every signal's full waveform.
+fn assert_matches_refsim(ours: &SimResult, r: &RefResult, waveforms: bool, what: &str) {
+    let diffs = ours.saif.diff(&r.saif);
+    assert!(
+        diffs.is_empty(),
+        "{what}: SAIF diverged from refsim, first: {:?}",
+        diffs.first()
+    );
+    if waveforms {
+        let ref_waves = r.waveforms.as_ref().expect("refsim recorded waveforms");
+        for (s, want) in ref_waves.iter().enumerate() {
+            assert_eq!(&ours.waveform(s).unwrap(), want, "{what}: signal {s}");
+        }
+    }
+}
+
+/// A 600-deep chain is still propagating when windows cut it, so the
+/// windowed result is not the continuous-timeline refsim's; the reference
+/// is the same session config with fusion disabled, whose levels publish
+/// on the engine thread after each launch instead of at phase boundaries.
 #[test]
-fn deep_fused_chain_serial_matches_overlapped() {
+fn deep_fused_chain_matches_unfused() {
     let graph = deep_chain(600);
     let toggles: Vec<i32> = (1..12).map(|i| i * 700).collect();
     let stim = vec![Waveform::from_toggles(false, &toggles)];
@@ -77,30 +107,34 @@ fn deep_fused_chain_serial_matches_overlapped() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(4)
         .with_window_align(100);
-    let run = |depth: usize| {
-        Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(depth))
+    let run = |fuse: usize| {
+        Session::new(Arc::clone(&graph), cfg.clone())
             .run_with(
                 &stim,
                 duration,
-                &RunOptions::default().with_waveform_spill(),
+                &RunOptions::default()
+                    .with_fuse_threshold(fuse)
+                    .with_waveform_spill(),
             )
             .unwrap()
     };
-    let serial = run(1);
-    let overlapped = run(2);
-    assert_bit_identical(&serial, &overlapped, "deep fused chain");
+    let fused = run(4096);
+    let unfused = run(0);
+    assert!(fused.app_profile.fused_launches >= 1);
+    assert_eq!(unfused.app_profile.fused_launches, 0);
+    assert_bit_identical(&unfused, &fused, "deep fused chain");
     // Bit-identical waveforms too, via the durable spill copies.
     for s in 0..graph.n_signals() {
         assert_eq!(
-            serial.waveform(s).unwrap(),
-            overlapped.waveform(s).unwrap(),
+            unfused.waveform(s).unwrap(),
+            fused.waveform(s).unwrap(),
             "signal {s}"
         );
     }
 }
 
 #[test]
-fn wide_levels_serial_matches_overlapped_and_refsim() {
+fn wide_levels_match_refsim() {
     let graph = wide_graph(7);
     let stimuli = generate(
         graph.primary_inputs().len(),
@@ -110,59 +144,46 @@ fn wide_levels_serial_matches_overlapped_and_refsim() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(8)
         .with_window_align(400);
-    let run = |depth: usize| {
-        Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(depth))
-            .run(&stimuli, duration)
-            .unwrap()
-    };
-    let serial = run(1);
-    let overlapped = run(2);
-    assert_bit_identical(&serial, &overlapped, "wide levels");
-
-    // And both agree with the event-driven reference.
-    let r = EventSimulator::new(
-        &graph,
-        RefConfig {
-            record_waveforms: false,
-            ..RefConfig::default()
-        },
-    )
-    .run(&stimuli, duration)
-    .unwrap();
-    assert!(
-        overlapped.saif.diff(&r.saif).is_empty(),
-        "pipelined run diverged from refsim"
+    let ours = Session::new(Arc::clone(&graph), cfg)
+        .run_with(
+            &stimuli,
+            duration,
+            &RunOptions::default().with_waveform_spill(),
+        )
+        .unwrap();
+    assert_matches_refsim(
+        &ours,
+        &refsim(&graph, &stimuli, duration),
+        true,
+        "wide levels",
     );
 }
 
+/// The chain outlasts its 10-tick windows (see
+/// `deep_fused_chain_matches_unfused`), so the reference is the same
+/// session config run unsegmented.
 #[test]
-fn segmented_run_serial_matches_overlapped() {
+fn segmented_run_matches_unsegmented() {
     let graph = deep_chain(40);
     let toggles: Vec<i32> = (1..150).map(|i| i * 10 + 5).collect();
     let stim = vec![Waveform::from_toggles(false, &toggles)];
     let cfg = SimConfig::small()
         .with_cycle_parallelism(16)
         .with_window_align(10);
-    let run = |depth: usize| {
-        Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(depth))
-            .run_with(
-                &stim,
-                1500,
-                &RunOptions::default()
-                    .with_segment_windows(4)
-                    .with_waveform_spill(),
-            )
+    let run = |opts: RunOptions| {
+        Session::new(Arc::clone(&graph), cfg.clone())
+            .run_with(&stim, 1500, &opts.with_waveform_spill())
             .unwrap()
     };
-    let serial = run(1);
-    let overlapped = run(2);
-    assert!(serial.segments() > 1, "test must exercise segmentation");
-    assert_eq!(serial.segments(), overlapped.segments());
-    assert_bit_identical(&serial, &overlapped, "segmented run");
+    let segmented = run(RunOptions::default().with_segment_windows(4));
+    let whole = run(RunOptions::default());
+    assert!(segmented.segments() > 1, "test must exercise segmentation");
+    assert_eq!(whole.segments(), 1);
+    assert_bit_identical(&whole, &segmented, "segmented run");
     for s in 0..graph.n_signals() {
         assert_eq!(
-            serial.waveform(s).unwrap(),
-            overlapped.waveform(s).unwrap(),
+            whole.waveform(s).unwrap(),
+            segmented.waveform(s).unwrap(),
             "signal {s} across segments"
         );
     }
@@ -181,8 +202,12 @@ impl WaveformSink for Recorder {
     }
 }
 
+/// A segmented streaming run delivers exactly the (signal, window, raw)
+/// set an unsegmented streaming run of the same configuration does — the
+/// reference cannot see per-window deliveries — and its SAIF matches the
+/// event-driven reference.
 #[test]
-fn streaming_sink_serial_matches_overlapped() {
+fn streaming_sink_matches_unsegmented_stream() {
     let graph = wide_graph(13);
     let stimuli = generate(
         graph.primary_inputs().len(),
@@ -192,25 +217,40 @@ fn streaming_sink_serial_matches_overlapped() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(8)
         .with_window_align(400);
-    let run = |depth: usize| {
+    let run = |opts: RunOptions| {
         let mut sink = Recorder::default();
-        let r = Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(depth))
-            .run_streaming(
-                &stimuli,
-                duration,
-                &RunOptions::default().with_segment_windows(3),
-                &mut sink,
-            )
+        let r = Session::new(Arc::clone(&graph), cfg.clone())
+            .run_streaming(&stimuli, duration, &opts, &mut sink)
             .unwrap();
         (r, sink)
     };
-    let (serial, serial_sink) = run(1);
-    let (overlapped, overlapped_sink) = run(2);
-    assert_bit_identical(&serial, &overlapped, "streaming run");
-    assert!(!serial_sink.calls.is_empty());
+    let (segmented, segmented_sink) = run(RunOptions::default().with_segment_windows(3));
+    let (whole, whole_sink) = run(RunOptions::default());
+    assert!(segmented.segments() > 1, "test must exercise segmentation");
+    assert_eq!(whole.segments(), 1);
+    assert_bit_identical(&whole, &segmented, "streaming run");
+    assert_matches_refsim(
+        &segmented,
+        &refsim(&graph, &stimuli, duration),
+        false,
+        "streaming run",
+    );
+    // Segment numbers differ by construction; everything else must not.
+    let deliveries = |sink: Recorder| {
+        let mut calls: Vec<_> = sink
+            .calls
+            .into_iter()
+            .map(|(signal, window, _, raw)| (window, signal, raw))
+            .collect();
+        calls.sort();
+        calls
+    };
+    let segmented_calls = deliveries(segmented_sink);
+    assert!(!segmented_calls.is_empty());
     assert_eq!(
-        serial_sink.calls, overlapped_sink.calls,
-        "sink must see identical (signal, window, segment, raw) sequences"
+        segmented_calls,
+        deliveries(whole_sink),
+        "sink must see identical (signal, window, raw) deliveries"
     );
 }
 
@@ -218,10 +258,10 @@ fn streaming_sink_serial_matches_overlapped() {
 /// phase ≥ the device's inline threshold, so the chase-the-cursor worker
 /// protocol — not the serial fast path — runs the phases): the whole
 /// design forced into one phased launch by a large fuse-threshold
-/// override must stay bit-identical across pipeline depths and match the
-/// event-driven reference, including via the durable spill copies.
+/// override must match the event-driven reference, including via the
+/// durable spill copies.
 #[test]
-fn wide_fused_group_pooled_driver_matches_serial_and_refsim() {
+fn wide_fused_group_pooled_driver_matches_refsim() {
     let netlist = random_logic(&RandomLogicConfig {
         gates: 3000,
         inputs: 32,
@@ -243,50 +283,29 @@ fn wide_fused_group_pooled_driver_matches_serial_and_refsim() {
         .with_waveform_spill();
     // An explicit 4-worker device: the pooled driver (and the parallel
     // spill drain) must engage even when the test host has few cores.
-    let run = |depth: usize| {
-        let sim_cfg = cfg.clone().with_pipeline_depth(depth);
-        let device = Arc::new(gatspi_gpu::Device::with_workers(
-            sim_cfg.device.clone(),
-            sim_cfg.memory_words,
-            4,
-        ));
-        Session::with_device(Arc::clone(&graph), sim_cfg, device)
-            .run_with(&stimuli, duration, &opts)
-            .unwrap()
-    };
-    let serial = run(1);
-    let overlapped = run(2);
+    let device = Arc::new(gatspi_gpu::Device::with_workers(
+        cfg.device.clone(),
+        cfg.memory_words,
+        4,
+    ));
+    let ours = Session::with_device(Arc::clone(&graph), cfg, device)
+        .run_with(&stimuli, duration, &opts)
+        .unwrap();
     assert_eq!(
-        serial.app_profile.launches, serial.app_profile.fused_launches,
+        ours.app_profile.launches, ours.app_profile.fused_launches,
         "every launch must be a fused phased launch"
     );
-    assert!(serial.app_profile.fused_launches >= 1);
-    assert_bit_identical(&serial, &overlapped, "wide fused group");
-    for s in 0..graph.n_signals() {
-        assert_eq!(
-            serial.waveform(s).unwrap(),
-            overlapped.waveform(s).unwrap(),
-            "signal {s}"
-        );
-    }
-
-    let r = EventSimulator::new(
-        &graph,
-        RefConfig {
-            record_waveforms: false,
-            ..RefConfig::default()
-        },
-    )
-    .run(&stimuli, duration)
-    .unwrap();
-    assert!(
-        overlapped.saif.diff(&r.saif).is_empty(),
-        "pooled phase driver diverged from refsim"
+    assert!(ours.app_profile.fused_launches >= 1);
+    assert_matches_refsim(
+        &ours,
+        &refsim(&graph, &stimuli, duration),
+        true,
+        "wide fused group",
     );
 }
 
 #[test]
-fn multi_gpu_serial_matches_overlapped() {
+fn multi_gpu_matches_refsim() {
     let graph = wide_graph(29);
     let stimuli = generate(
         graph.primary_inputs().len(),
@@ -296,21 +315,22 @@ fn multi_gpu_serial_matches_overlapped() {
     let cfg = SimConfig::small()
         .with_cycle_parallelism(4)
         .with_window_align(400);
-    let run = |depth: usize| {
-        let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
-        Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(depth))
-            .run_multi_gpu(&gpus, &stimuli, duration)
-            .unwrap()
-    };
-    let serial = run(1);
-    let overlapped = run(2);
-    assert_bit_identical(&serial, &overlapped, "multi-GPU run");
+    let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
+    let ours = Session::new(Arc::clone(&graph), cfg)
+        .run_multi_gpu(&gpus, &stimuli, duration)
+        .unwrap();
+    assert_matches_refsim(
+        &ours,
+        &refsim(&graph, &stimuli, duration),
+        false,
+        "multi-GPU run",
+    );
 }
 
 /// Multi-GPU runs with waveform spill: each shard's batch is routed
 /// through the spill sink and the windows merge in time order, so
 /// `waveform()` works on multi-GPU results and matches a single-device
-/// spilled run bit for bit — in both pipeline modes.
+/// spilled run bit for bit.
 #[test]
 fn multi_gpu_spill_extracts_waveforms() {
     let graph = wide_graph(43);
@@ -338,26 +358,24 @@ fn multi_gpu_spill_extracts_waveforms() {
             &RunOptions::default().with_waveform_spill(),
         )
         .unwrap();
-    for depth in [1usize, 2] {
-        let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
-        let multi = Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(depth))
-            .run_multi_gpu_with(
-                &gpus,
-                &stimuli,
-                duration,
-                &RunOptions::default().with_waveform_spill(),
-            )
-            .unwrap();
-        assert!(multi.app_profile.d2h_bytes > 0, "spill read waveforms back");
-        assert!(multi.app_profile.d2h_batches > 0);
-        assert!(multi.app_profile.readback_seconds > 0.0);
-        for s in 0..graph.n_signals() {
-            assert_eq!(
-                multi.waveform(s).unwrap(),
-                single.waveform(s).unwrap(),
-                "signal {s} (pipeline depth {depth})"
-            );
-        }
+    let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 18);
+    let multi = Session::new(Arc::clone(&graph), cfg)
+        .run_multi_gpu_with(
+            &gpus,
+            &stimuli,
+            duration,
+            &RunOptions::default().with_waveform_spill(),
+        )
+        .unwrap();
+    assert!(multi.app_profile.d2h_bytes > 0, "spill read waveforms back");
+    assert!(multi.app_profile.d2h_batches > 0);
+    assert!(multi.app_profile.readback_seconds > 0.0);
+    for s in 0..graph.n_signals() {
+        assert_eq!(
+            multi.waveform(s).unwrap(),
+            single.waveform(s).unwrap(),
+            "signal {s}"
+        );
     }
 }
 
@@ -610,9 +628,9 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Random design + random delays + random stimulus: the overlapped
-    /// pipeline must stay bit-identical to the forced-serial pipeline and
-    /// to the event-driven reference.
+    /// Random design + random delays + random stimulus: the executor
+    /// (speculative by default) must stay bit-identical to the two-pass
+    /// schedule and to the event-driven reference.
     #[test]
     fn pipelined_executor_bit_identical_on_random_designs(
         seed in 0u64..5000,
@@ -649,18 +667,11 @@ proptest! {
             .with_cycle_parallelism(parallelism)
             .with_window_align(cycle)
             .with_fuse_threshold(fuse);
-        let run = |pd: usize| {
-            Session::new(Arc::clone(&graph), cfg.clone().with_pipeline_depth(pd))
-                .run(&stimuli, duration)
-                .unwrap()
-        };
-        let serial = run(1);
-        let overlapped = run(2);
-        prop_assert!(serial.saif.diff(&overlapped.saif).is_empty(),
-            "serial vs overlapped SAIF diverged");
-        prop_assert_eq!(serial.toggle_counts_slice(), overlapped.toggle_counts_slice());
+        let ours = Session::new(Arc::clone(&graph), cfg.clone())
+            .run(&stimuli, duration)
+            .unwrap();
 
-        // The runs above speculate (Auto default); the two-pass reference
+        // The run above speculates (Auto default); the two-pass reference
         // schedule must agree bit for bit.
         let two_pass = Session::new(
             Arc::clone(&graph),
@@ -668,9 +679,9 @@ proptest! {
         )
         .run(&stimuli, duration)
         .unwrap();
-        prop_assert!(two_pass.saif.diff(&overlapped.saif).is_empty(),
+        prop_assert!(two_pass.saif.diff(&ours.saif).is_empty(),
             "speculative vs two-pass SAIF diverged");
-        prop_assert_eq!(two_pass.toggle_counts_slice(), overlapped.toggle_counts_slice());
+        prop_assert_eq!(two_pass.toggle_counts_slice(), ours.toggle_counts_slice());
 
         let r = EventSimulator::new(&graph, RefConfig {
             record_waveforms: false,
@@ -678,7 +689,7 @@ proptest! {
         })
         .run(&stimuli, duration)
         .unwrap();
-        prop_assert!(overlapped.saif.diff(&r.saif).is_empty(),
-            "pipelined run diverged from refsim");
+        prop_assert!(ours.saif.diff(&r.saif).is_empty(),
+            "executor diverged from refsim");
     }
 }

@@ -1,11 +1,10 @@
 //! Session-API acceptance tests: cached plans across segments and
 //! multi-GPU shards, host-spilled waveforms for segmented runs, streaming
-//! sinks, and bit-identical parity between the deprecated `Gatspi` shims
-//! and the session they delegate to.
+//! sinks, and argument validation on every run entry point.
 
 use std::sync::Arc;
 
-use gatspi_core::{RunOptions, Session, SimConfig, WaveformSink, WindowInfo};
+use gatspi_core::{CoreError, RunOptions, Session, SimConfig, WaveformSink, WindowInfo};
 use gatspi_gpu::{DeviceSpec, MultiGpu};
 use gatspi_workloads::suite::{table2_suite, BuiltBenchmark};
 
@@ -152,48 +151,38 @@ fn streaming_sink_observes_run_in_order() {
     }
 }
 
-/// The deprecated one-shot shims delegate to the session and produce
-/// bit-identical results.
+/// A negative run duration is a caller error, not a panic: every run
+/// entry point rejects it with `CoreError::BadConfig`.
 #[test]
-#[allow(deprecated)]
-fn deprecated_shims_bit_match_session() {
-    use gatspi_core::{run_multi_gpu, Gatspi};
-
+fn negative_duration_is_rejected_on_every_entry_point() {
     let b = bench(0.15);
-    let cfg = SimConfig::small()
-        .with_cycle_parallelism(4)
-        .with_window_align(b.cycle_time);
-
-    let session = Session::new(Arc::clone(&b.graph), cfg.clone());
-    let via_session = session.run(&b.stimuli, b.duration).expect("session run");
-
-    let shim = Gatspi::new(Arc::clone(&b.graph), cfg);
-    let via_shim = shim.run(&b.stimuli, b.duration).expect("shim run");
-
-    assert!(via_session.saif.diff(&via_shim.saif).is_empty());
-    assert_eq!(via_session.total_toggles(), via_shim.total_toggles());
-    assert_eq!(via_session.segments(), via_shim.segments());
-    assert_eq!(
-        via_session.app_profile.launches,
-        via_shim.app_profile.launches
-    );
-    for s in (0..b.graph.n_signals()).step_by(7) {
-        assert_eq!(
-            via_session.waveform(s).expect("session waveform"),
-            via_shim.waveform(s).expect("shim waveform"),
-            "signal {s}"
+    let sim = session(&b, 4);
+    let opts = RunOptions::default().with_waveform_spill();
+    let bad = |r: gatspi_core::Result<_>, what: &str| {
+        assert!(
+            matches!(r, Err(CoreError::BadConfig { .. })),
+            "{what}: expected BadConfig"
         );
-    }
-
-    // Multi-GPU shim parity.
+    };
+    bad(sim.run(&b.stimuli, -1).map(drop), "run");
+    let prev = sim
+        .run_with(&b.stimuli, b.duration, &opts)
+        .expect("full run");
+    bad(
+        sim.run_incremental(&prev, &[0], &b.stimuli, -1, &opts)
+            .map(drop),
+        "run_incremental",
+    );
     let gpus = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 20);
-    let m_session = session
-        .run_multi_gpu(&gpus, &b.stimuli, b.duration)
-        .expect("session multi");
-    let gpus2 = MultiGpu::new(DeviceSpec::v100(), 2, 1 << 20);
-    let m_shim = run_multi_gpu(&shim, &gpus2, &b.stimuli, b.duration).expect("shim multi");
-    assert!(m_session.saif.diff(&m_shim.saif).is_empty());
-    assert_eq!(m_session.total_toggles(), m_shim.total_toggles());
+    bad(
+        sim.run_multi_gpu(&gpus, &b.stimuli, -1).map(drop),
+        "run_multi_gpu",
+    );
+    bad(
+        sim.run_to_saif(&b.stimuli, -1, &RunOptions::default())
+            .map(drop),
+        "run_to_saif",
+    );
 }
 
 /// Repeated stimuli against one session (the paper's re-simulation loop)
