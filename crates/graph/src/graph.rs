@@ -1,8 +1,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use gatspi_netlist::Netlist;
-use gatspi_sdf::{build_delay_lut, SdfFile, TripleSelect, NO_ARC};
+use gatspi_netlist::{CellType, GateId, Netlist};
+use gatspi_sdf::{build_delay_lut, IoPath, SdfFile, TripleSelect, NO_ARC};
 
 use crate::{levelize, GraphError, LevelStats, Result};
 
@@ -70,9 +70,11 @@ impl Default for GraphOptions {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CircuitGraph {
     name: String,
+    /// Ticks per SDF unit the delays were translated with.
+    scale: f64,
     n_signals: usize,
     signal_names: Vec<String>,
     primary_inputs: Vec<SignalId>,
@@ -153,70 +155,26 @@ impl CircuitGraph {
         // Delay LUTs.
         let mut lut_offsets = vec![0u32; n_pins];
         let mut delay_luts: Vec<i32> = Vec::new();
-        let mut fallback_rise = vec![options.default_delay.0; n_gates];
-        let mut fallback_fall = vec![options.default_delay.1; n_gates];
+        let mut fallback_rise = vec![0i32; n_gates];
+        let mut fallback_fall = vec![0i32; n_gates];
 
+        let cell_index = sdf.map(SdfFile::cell_index);
         for (gid, gate) in netlist.gates() {
             let g = gid.index();
             let cell = lib.cell(gate.cell());
-            let pin_names = cell.input_pins();
-            let iopaths: Vec<gatspi_sdf::IoPath> = match sdf {
-                Some(f) => f.iopaths_for(cell.name(), gate.name()).cloned().collect(),
-                None => Vec::new(),
-            };
-            // Validate that every IOPATH pin exists on the cell.
-            for p in &iopaths {
-                if cell.input_index(&p.input).is_none() {
-                    return Err(GraphError::SdfBinding {
-                        detail: format!(
-                            "IOPATH input `{}` not a pin of cell `{}` (instance `{}`)",
-                            p.input,
-                            cell.name(),
-                            gate.name()
-                        ),
-                    });
-                }
-                if p.output != cell.output_pin() {
-                    return Err(GraphError::SdfBinding {
-                        detail: format!(
-                            "IOPATH output `{}` is not `{}` on cell `{}`",
-                            p.output,
-                            cell.output_pin(),
-                            cell.name()
-                        ),
-                    });
-                }
-            }
+            let iopaths = cell_index
+                .iter()
+                .flat_map(|index| index.iopaths_for(cell.name(), gate.name()));
             let base = fanin_offsets[g] as usize;
-            let mut gate_max: Option<(i32, i32)> = None;
+            let start = delay_luts.len();
+            let (rise, fall) =
+                gate_delays(cell, gate.name(), iopaths, options, scale, &mut delay_luts)?;
+            let block = (delay_luts.len() - start) / cell.num_inputs().max(1);
             for pin in 0..cell.num_inputs() {
-                let lut = build_delay_lut(pin_names, pin, &iopaths, options.select, scale)?;
-                lut_offsets[base + pin] = delay_luts.len() as u32;
-                // Track per-direction maxima for the fallback.
-                let ncols = lut.ncols();
-                for row in 0..4usize {
-                    for c in 0..ncols {
-                        let d = lut.data()[row * ncols + c];
-                        if d != NO_ARC {
-                            let e = gate_max.get_or_insert((-1, -1));
-                            if row % 2 == 0 {
-                                e.0 = e.0.max(d);
-                            } else {
-                                e.1 = e.1.max(d);
-                            }
-                        }
-                    }
-                }
-                delay_luts.extend_from_slice(lut.data());
+                lut_offsets[base + pin] = (start + pin * block) as u32;
             }
-            if let Some((r, f)) = gate_max {
-                // A direction never annotated anywhere falls back to the
-                // other direction's maximum (or the default if negative).
-                let r = if r >= 0 { r } else { f };
-                let f = if f >= 0 { f } else { r };
-                fallback_rise[g] = if r >= 0 { r } else { options.default_delay.0 };
-                fallback_fall[g] = if f >= 0 { f } else { options.default_delay.1 };
-            }
+            fallback_rise[g] = rise;
+            fallback_fall[g] = fall;
         }
 
         // Interconnect (wire) delays.
@@ -273,6 +231,7 @@ impl CircuitGraph {
 
         Ok(CircuitGraph {
             name: netlist.name().to_string(),
+            scale,
             n_signals,
             signal_names: netlist.nets().map(|(_, n)| n.name().to_string()).collect(),
             primary_inputs: netlist
@@ -303,6 +262,56 @@ impl CircuitGraph {
             level_offsets,
             level_gates,
         })
+    }
+
+    /// Re-translates gate `gate`'s delays from `iopaths` in place: its LUT
+    /// blocks and fallback delay become exactly what [`CircuitGraph::build`]
+    /// gives the gate when the SDF binds `iopaths` to it. Connectivity,
+    /// interconnect delays and every other gate are untouched, and on error
+    /// the graph is unchanged.
+    ///
+    /// `netlist` must be the netlist the graph was built from. A `None`
+    /// `options.scale` means the scale the graph was built with.
+    ///
+    /// # Errors
+    ///
+    /// * [`GraphError::SdfBinding`] if `gate` is not one of the graph's
+    ///   gates in `netlist`, or an IOPATH names a pin the cell lacks.
+    /// * [`GraphError::Sdf`] for delay translation failures.
+    pub fn reannotate_gate<'a>(
+        &mut self,
+        netlist: &Netlist,
+        gate: usize,
+        iopaths: impl IntoIterator<Item = &'a IoPath>,
+        options: &GraphOptions,
+    ) -> Result<()> {
+        let netlist_gate = (gate < self.n_gates() && gate < netlist.gate_count())
+            .then(|| netlist.gate(GateId::from_index(gate)))
+            .filter(|ng| {
+                ng.cell().index() == self.gate_cell(gate) && ng.name() == self.gate_name(gate)
+            })
+            .ok_or_else(|| GraphError::SdfBinding {
+                detail: format!(
+                    "gate {gate} is not a gate of graph `{}` in this netlist",
+                    self.name
+                ),
+            })?;
+        let cell = netlist.library().cell(netlist_gate.cell());
+        let scale = options.scale.unwrap_or(self.scale);
+        let mut luts = Vec::new();
+        let (rise, fall) = gate_delays(
+            cell,
+            netlist_gate.name(),
+            iopaths,
+            options,
+            scale,
+            &mut luts,
+        )?;
+        let start = self.delay_lut_base(gate);
+        self.delay_luts[start..start + luts.len()].copy_from_slice(&luts);
+        self.fallback_rise[gate] = rise;
+        self.fallback_fall[gate] = fall;
+        Ok(())
     }
 
     /// Design name.
@@ -551,6 +560,81 @@ impl CircuitGraph {
         }
         values
     }
+}
+
+/// Translates the IOPATHs bound to one gate: appends its per-pin Fig. 4
+/// LUT blocks to `luts` in pin order and returns its fallback
+/// `(rise, fall)` delay — the per-direction maximum annotated arc, or
+/// `options.default_delay` for a gate the SDF leaves unannotated.
+fn gate_delays<'a>(
+    cell: &CellType,
+    instance: &str,
+    iopaths: impl IntoIterator<Item = &'a IoPath>,
+    options: &GraphOptions,
+    scale: f64,
+    luts: &mut Vec<i32>,
+) -> Result<(i32, i32)> {
+    let iopaths: Vec<&IoPath> = iopaths.into_iter().collect();
+    // Validate that every IOPATH pin exists on the cell.
+    for p in &iopaths {
+        if cell.input_index(&p.input).is_none() {
+            return Err(GraphError::SdfBinding {
+                detail: format!(
+                    "IOPATH input `{}` not a pin of cell `{}` (instance `{}`)",
+                    p.input,
+                    cell.name(),
+                    instance
+                ),
+            });
+        }
+        if p.output != cell.output_pin() {
+            return Err(GraphError::SdfBinding {
+                detail: format!(
+                    "IOPATH output `{}` is not `{}` on cell `{}`",
+                    p.output,
+                    cell.output_pin(),
+                    cell.name()
+                ),
+            });
+        }
+    }
+    let mut gate_max: Option<(i32, i32)> = None;
+    for pin in 0..cell.num_inputs() {
+        let lut = build_delay_lut(
+            cell.input_pins(),
+            pin,
+            iopaths.iter().copied(),
+            options.select,
+            scale,
+        )?;
+        // Track per-direction maxima for the fallback.
+        let ncols = lut.ncols();
+        for row in 0..4usize {
+            for c in 0..ncols {
+                let d = lut.data()[row * ncols + c];
+                if d != NO_ARC {
+                    let e = gate_max.get_or_insert((-1, -1));
+                    if row % 2 == 0 {
+                        e.0 = e.0.max(d);
+                    } else {
+                        e.1 = e.1.max(d);
+                    }
+                }
+            }
+        }
+        luts.extend_from_slice(lut.data());
+    }
+    let Some((r, f)) = gate_max else {
+        return Ok(options.default_delay);
+    };
+    // A direction never annotated anywhere falls back to the other
+    // direction's maximum (or the default if negative).
+    let r = if r >= 0 { r } else { f };
+    let f = if f >= 0 { f } else { r };
+    Ok((
+        if r >= 0 { r } else { options.default_delay.0 },
+        if f >= 0 { f } else { options.default_delay.1 },
+    ))
 }
 
 #[cfg(test)]

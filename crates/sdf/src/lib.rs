@@ -20,7 +20,8 @@
 //!
 //! * [`SdfFile`] / [`SdfCell`] / [`IoPath`] / [`Interconnect`] — the parsed
 //!   model, with [`SdfFile::parse`] and [`SdfFile::write`] for the textual
-//!   format;
+//!   format, and [`CellIndex`] ([`SdfFile::cell_index`]) binding cells to
+//!   instances;
 //! * [`DelayLut`] and [`build_delay_lut`] — the Fig. 4 translation;
 //! * [`Cond`] — `A2===1'b1&&A1===1'b0`-style condition expressions.
 
@@ -34,7 +35,8 @@ mod parser;
 pub use error::SdfError;
 pub use lut::{build_delay_lut, reduced_column_index, DelayLut, NO_ARC};
 pub use model::{
-    Cond, DelayTriple, EdgeSpec, Interconnect, IoPath, PortPath, SdfCell, SdfFile, TripleSelect,
+    CellIndex, Cond, DelayTriple, EdgeSpec, Interconnect, IoPath, PortPath, SdfCell, SdfFile,
+    TripleSelect,
 };
 
 /// Result alias used throughout this crate.

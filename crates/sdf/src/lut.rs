@@ -141,10 +141,10 @@ impl DelayLut {
 ///   switching pin itself (the Fig. 4 column encoding has no slot for it).
 /// * [`SdfError::BadDelay`] if a scaled delay is negative or overflows.
 /// * [`SdfError::BadLut`] if `pin` is out of range.
-pub fn build_delay_lut(
+pub fn build_delay_lut<'a>(
     pin_names: &[String],
     pin: usize,
-    iopaths: &[IoPath],
+    iopaths: impl IntoIterator<Item = &'a IoPath>,
     select: TripleSelect,
     scale: f64,
 ) -> Result<DelayLut> {
@@ -167,19 +167,11 @@ pub fn build_delay_lut(
 
     // Stable two-phase application: unconditional defaults first, then
     // conditional refinements (file order within each phase).
-    let relevant = |p: &&IoPath| p.input == pin_names[pin];
-    let phases: [Vec<&IoPath>; 2] = [
-        iopaths
-            .iter()
-            .filter(relevant)
-            .filter(|p| p.cond.is_none())
-            .collect(),
-        iopaths
-            .iter()
-            .filter(relevant)
-            .filter(|p| p.cond.is_some())
-            .collect(),
-    ];
+    let (conditional, unconditional): (Vec<&IoPath>, Vec<&IoPath>) = iopaths
+        .into_iter()
+        .filter(|p| p.input == pin_names[pin])
+        .partition(|p| p.cond.is_some());
+    let phases = [unconditional, conditional];
 
     for phase in &phases {
         for path in phase {

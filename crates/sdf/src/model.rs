@@ -1,3 +1,4 @@
+use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -281,24 +282,84 @@ impl SdfFile {
         out
     }
 
-    /// All IOPATHs applying to instance `inst` of cell type `celltype`:
-    /// instance-specific entries plus wildcard entries for the type.
-    pub fn iopaths_for<'a>(
-        &'a self,
-        celltype: &'a str,
-        inst: &'a str,
-    ) -> impl Iterator<Item = &'a IoPath> + 'a {
-        self.cells
-            .iter()
-            .filter(move |c| {
-                let inst_match = match &c.instance {
-                    None => true,
-                    Some(s) => s == "*" || s == inst,
-                };
-                inst_match && (c.celltype == celltype || c.celltype == "*")
-            })
-            .flat_map(|c| c.iopaths.iter())
+    /// Indexes the cells by instance for [`CellIndex::iopaths_for`]: one
+    /// pass over the file, after which each lookup costs only the cells
+    /// that can apply to the instance.
+    pub fn cell_index(&self) -> CellIndex<'_> {
+        let mut index = CellIndex {
+            cells: &self.cells,
+            wildcards: HashMap::new(),
+            by_instance: HashMap::new(),
+        };
+        for (i, cell) in self.cells.iter().enumerate() {
+            match cell.instance.as_deref() {
+                None | Some("*") => index.wildcards.entry(cell.celltype.as_str()),
+                Some(inst) => index.by_instance.entry(inst),
+            }
+            .or_default()
+            .push(i);
+        }
+        index
     }
+}
+
+/// Order-preserving lookup from an instance to the [`SdfCell`]s that apply
+/// to it, built once per file by [`SdfFile::cell_index`].
+///
+/// A cell applies to instance `inst` of cell type `celltype` when its
+/// instance is `*`, absent or `inst`, and its cell type is `celltype` or
+/// `*`. Wildcard-instance cells are grouped by cell type and the others by
+/// instance name, so a lookup merges at most three short index lists.
+#[derive(Debug, Clone)]
+pub struct CellIndex<'a> {
+    cells: &'a [SdfCell],
+    /// Cells with instance `*` or none, by cell type (`*` included), in
+    /// file order.
+    wildcards: HashMap<&'a str, Vec<usize>>,
+    /// Instance-specific cells of any cell type, by instance, in file order.
+    by_instance: HashMap<&'a str, Vec<usize>>,
+}
+
+impl<'a> CellIndex<'a> {
+    /// File-order indices (into [`SdfFile::cells`]) of every cell that
+    /// applies to instance `inst` of cell type `celltype`.
+    pub fn cells_for(&self, celltype: &str, inst: &str) -> Vec<usize> {
+        let mut out: Vec<usize> = indices(&self.wildcards, celltype).to_vec();
+        if celltype != "*" {
+            out.extend_from_slice(indices(&self.wildcards, "*"));
+        }
+        out.extend(
+            indices(&self.by_instance, inst)
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let t = &self.cells[i].celltype;
+                    t == celltype || t == "*"
+                }),
+        );
+        out.sort_unstable();
+        out
+    }
+
+    /// All IOPATHs applying to instance `inst` of cell type `celltype`, in
+    /// file order: instance-specific entries plus wildcard entries for the
+    /// type.
+    pub fn iopaths_for(&self, celltype: &str, inst: &str) -> impl Iterator<Item = &'a IoPath> {
+        let cells = self.cells;
+        self.cells_for(celltype, inst)
+            .into_iter()
+            .flat_map(move |i| cells[i].iopaths.iter())
+    }
+
+    /// File-order indices of the cells naming `inst` exactly, whatever
+    /// their cell type (wildcard cells excluded).
+    pub fn instance_cells(&self, inst: &str) -> &[usize] {
+        indices(&self.by_instance, inst)
+    }
+}
+
+fn indices<'m>(map: &'m HashMap<&str, Vec<usize>>, key: &str) -> &'m [usize] {
+    map.get(key).map_or(&[], Vec::as_slice)
 }
 
 #[cfg(test)]
@@ -356,35 +417,89 @@ mod tests {
         assert_eq!(h.instance.as_deref(), Some("top/u2"));
     }
 
-    #[test]
-    fn iopaths_for_wildcards() {
-        let mut f = SdfFile::new("d");
-        f.cells.push(SdfCell {
-            celltype: "NAND2".into(),
-            instance: None,
+    /// The linear scan every gate used to make: the order oracle for
+    /// [`CellIndex::iopaths_for`].
+    fn linear_iopaths_for<'a>(
+        f: &'a SdfFile,
+        celltype: &'a str,
+        inst: &'a str,
+    ) -> impl Iterator<Item = &'a IoPath> + 'a {
+        f.cells
+            .iter()
+            .filter(move |c| {
+                let inst_match = match &c.instance {
+                    None => true,
+                    Some(s) => s == "*" || s == inst,
+                };
+                inst_match && (c.celltype == celltype || c.celltype == "*")
+            })
+            .flat_map(|c| c.iopaths.iter())
+    }
+
+    /// A one-IOPATH cell whose rise delay tags it with its file position.
+    fn tagged_cell(celltype: &str, instance: Option<&str>, tag: usize) -> SdfCell {
+        SdfCell {
+            celltype: celltype.into(),
+            instance: instance.map(Into::into),
             iopaths: vec![IoPath {
                 cond: None,
                 edge: EdgeSpec::Both,
                 input: "A".into(),
                 output: "Y".into(),
-                rise: DelayTriple::single(1.0),
+                rise: DelayTriple::single(tag as f64),
                 fall: DelayTriple::single(2.0),
             }],
-        });
-        f.cells.push(SdfCell {
-            celltype: "NAND2".into(),
-            instance: Some("u7".into()),
-            iopaths: vec![IoPath {
-                cond: None,
-                edge: EdgeSpec::Both,
-                input: "B".into(),
-                output: "Y".into(),
-                rise: DelayTriple::single(9.0),
-                fall: DelayTriple::single(9.0),
-            }],
-        });
-        assert_eq!(f.iopaths_for("NAND2", "u1").count(), 1);
-        assert_eq!(f.iopaths_for("NAND2", "u7").count(), 2);
-        assert_eq!(f.iopaths_for("INV", "u1").count(), 0);
+        }
+    }
+
+    #[test]
+    fn iopaths_for_wildcards() {
+        let mut f = SdfFile::new("d");
+        f.cells.push(tagged_cell("NAND2", None, 1));
+        f.cells.push(tagged_cell("NAND2", Some("u7"), 9));
+        let index = f.cell_index();
+        assert_eq!(index.iopaths_for("NAND2", "u1").count(), 1);
+        assert_eq!(index.iopaths_for("NAND2", "u7").count(), 2);
+        assert_eq!(index.iopaths_for("INV", "u1").count(), 0);
+        assert_eq!(index.instance_cells("u7"), &[1]);
+        assert!(index.instance_cells("u1").is_empty());
+    }
+
+    const CELLTYPES: [&str; 4] = ["NAND2", "INV", "*", "XOR2"];
+    const INSTANCES: [Option<&str>; 6] = [
+        None,
+        Some("*"),
+        Some("u0"),
+        Some("u1"),
+        Some("u2"),
+        Some("u3"),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// Wildcard (`*` or absent) instances, `*` cell types and several
+        /// cells per instance interleaved with wildcards, queried for every
+        /// cell type and for instances present in and absent from the file
+        /// (`u3` only sometimes, `u9` never): the index returns the same
+        /// IOPATHs in the same order as the linear scan.
+        #[test]
+        fn cell_index_matches_linear_scan(
+            picks in proptest::collection::vec(0usize..CELLTYPES.len() * INSTANCES.len(), 0..40)
+        ) {
+            let mut f = SdfFile::new("d");
+            for (tag, &pick) in picks.iter().enumerate() {
+                let celltype = CELLTYPES[pick % CELLTYPES.len()];
+                f.cells.push(tagged_cell(celltype, INSTANCES[pick / CELLTYPES.len()], tag));
+            }
+            let index = f.cell_index();
+            for celltype in CELLTYPES {
+                for inst in ["u0", "u1", "u2", "u3", "u9"] {
+                    let fast: Vec<&IoPath> = index.iopaths_for(celltype, inst).collect();
+                    let slow: Vec<&IoPath> = linear_iopaths_for(&f, celltype, inst).collect();
+                    proptest::prop_assert_eq!(fast, slow, "{} {}", celltype, inst);
+                }
+            }
+        }
     }
 }
